@@ -21,6 +21,7 @@ from repro.discriminators.registry import NN_LEARNING_RATE, register
 from repro.exceptions import ConfigurationError
 from repro.ml.dataset import StandardScaler
 from repro.ml.nn import Adam, MLPClassifier, train_classifier
+from repro.ml.nn.activations import softmax
 
 __all__ = ["MLRDiscriminator"]
 
@@ -100,6 +101,10 @@ class MLRDiscriminator(Discriminator):
         )
         self.models: list[MLPClassifier] | None = None
         self.scaler: StandardScaler | None = None
+        # Per layer, every head's (weights, bias) stacked for the serving
+        # pass, with the scaler folded into the first layer; rebuilt by
+        # _stack_heads whenever the heads or the scaler change.
+        self._stacked_layers: list[tuple] | None = None
         # Calibration-time references for online drift detection: the
         # joint-assignment distribution and mean top-2 probability margin
         # this model produced on its own training corpus. Carried in the
@@ -153,28 +158,60 @@ class MLRDiscriminator(Discriminator):
             )
             self.models.append(model)
         self._fitted = True
-        self._record_reference(x, corpus.n_levels)
+        self._stack_heads()
+        self._record_reference(features, corpus.n_levels)
         return self
+
+    def _stack_heads(self) -> None:
+        """Stack layer ``i`` of every head for :meth:`head_levels_and_margin`.
+
+        Weights become ``(n_heads, in, out)`` and biases ``(n_heads, 1,
+        out)``, so one batched matmul per layer evaluates all heads. The
+        scaler is folded into the first layer: ``((x - mean) / scale) @ W
+        + b`` is ``x @ (W / scale) + (b - (mean / scale) @ W)``.
+        """
+        # One shared feature block, or each head's own contiguous block.
+        blocks = 1 if self.neighbor_features else len(self.models)
+        mean = self.scaler.mean_.reshape(blocks, -1)
+        scale = self.scaler.scale_.reshape(blocks, -1)
+        self._stacked_layers = []
+        for depth, layers in enumerate(
+            zip(*(model.network.layers for model in self.models))
+        ):
+            weights = np.stack([layer.weights for layer in layers])
+            bias = np.stack([layer.bias for layer in layers])[:, None, :]
+            if depth == 0:
+                bias = bias - np.matmul((mean / scale)[:, None, :], weights)
+                weights = weights / scale[:, :, None]
+            self._stacked_layers.append(
+                (weights, bias, layers[0].activation.forward)
+            )
 
     def head_levels_and_margin(
         self, x: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """Per-qubit argmax levels and the mean top-2 probability margin.
 
-        ``x`` is the scaled feature matrix. The one implementation both
+        ``x`` is the raw (unscaled) feature matrix: the scaler is folded
+        into the stacked first layer. The one implementation both
         fit-time reference recording and the streaming engine use —
         drift scoring compares the two, so they must never diverge.
-        Argmax over probabilities reproduces :meth:`MLPClassifier
-        .predict` bit for bit (softmax is monotone).
+        Offline :meth:`predict_qubit_levels` (one ``MLPClassifier`` per
+        head) is the oracle its levels are tested against.
         """
-        levels = np.empty((x.shape[0], len(self.models)), dtype=np.int64)
-        margin_total = 0.0
-        for q, model in enumerate(self.models):
-            proba = model.predict_proba(self._head_features(x, q))
-            levels[:, q] = np.argmax(proba, axis=1)
-            top2 = np.sort(proba, axis=1)[:, -2:]
-            margin_total += float(np.sum(top2[:, 1] - top2[:, 0]))
-        return levels, margin_total / (x.shape[0] * len(self.models))
+        n_shots, n_heads = x.shape[0], len(self.models)
+        # Every head reads all features, or its own contiguous block.
+        if self.neighbor_features:
+            h = x[None]
+        else:
+            h = x.reshape(n_shots, n_heads, -1).transpose(1, 0, 2)
+        for weights, bias, activation in self._stacked_layers:
+            h = activation(np.matmul(h, weights) + bias)
+        proba = softmax(h)
+        levels = np.empty((n_shots, n_heads), dtype=np.int64)
+        np.argmax(proba, axis=2, out=levels.T)
+        top2 = np.partition(proba, -2, axis=2)[..., -2:]
+        return levels, float(np.mean(top2[..., 1] - top2[..., 0]))
 
     def _record_reference(self, x: np.ndarray, n_levels: int) -> None:
         """Snapshot the drift-detection references on the training set."""
@@ -226,6 +263,7 @@ class MLRDiscriminator(Discriminator):
         clone.scaler.fit(
             self.extractor.transform(corpus, self._resolve_indices(corpus, indices))
         )
+        clone._stack_heads()
         return clone
 
     def _artifact_meta(self) -> dict:
@@ -273,6 +311,7 @@ class MLRDiscriminator(Discriminator):
             cls._unpack_mlp(sizes, arrays, f"model{q}")
             for q, sizes in enumerate(meta["layer_sizes"])
         ]
+        disc._stack_heads()
         # Artifacts written before drift detection landed carry no
         # references; such models still serve, just without a monitor.
         if "reference_assignment" in arrays:

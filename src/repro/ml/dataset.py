@@ -87,11 +87,12 @@ class StandardScaler:
     def transform_inplace(self, x: np.ndarray) -> np.ndarray:
         """Standardize a float feature block in place; returns it.
 
-        The zero-copy serving path: the caller owns a reusable float
-        buffer the raw features were written into, and the
-        standardization mutates it rather than allocating a fresh array
-        per batch. ``x`` must already be 2-D float (no coercion — a
-        coerced copy would defeat the point).
+        For a caller that owns a reusable float buffer the raw features
+        were written into: the standardization mutates it rather than
+        allocating a fresh array. ``x`` must already be 2-D float (no
+        coercion — a coerced copy would defeat the point). Serving does
+        not call it (the MLR heads fold the scaler into their first
+        layer); ``perfbench`` still traces it by name as ``ml.scaler``.
         """
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler is not fitted")

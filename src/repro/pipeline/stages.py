@@ -12,8 +12,11 @@ qubit's matched-filter kernels once at load time (see
 of a micro-batch directly from the raw feedline — no per-qubit
 ``feedline * tone`` copies, no decimated intermediates, no
 ``np.concatenate`` of per-channel score blocks. Scores land in a
-caller-supplied (or engine-owned, reused) feature buffer; the tiny
-per-qubit networks then classify the whole batch in one vectorized pass.
+caller-supplied (or engine-owned, reused) feature buffer and go straight
+to the per-qubit networks: their layers are stacked across heads, with
+the feature scaler folded into the first one (see :meth:`~repro
+.discriminators.mlr.MLRDiscriminator.head_levels_and_margin`), so each
+layer is one batched matmul over every head.
 
 The ``legacy`` mode keeps the original per-channel chain — each
 micro-batch fans out one task per qubit channel across a
@@ -214,9 +217,9 @@ class BatchDiscriminationEngine:
 
         ``out_features`` — optional preallocated ``(n_shots,
         n_features)`` float buffer (a :class:`~repro.pipeline.buffers
-        .BufferRing` slot) the fused path writes raw scores into and
-        standardizes in place; the engine's own reused scratch serves
-        when omitted. Ignored in ``legacy`` mode.
+        .BufferRing` slot) the fused path writes raw scores into; the
+        engine's own reused scratch serves when omitted. Ignored in
+        ``legacy`` mode.
         """
         feedline = np.atleast_2d(np.asarray(feedline))
         disc = self.discriminator
@@ -258,10 +261,6 @@ class BatchDiscriminationEngine:
             )
 
         t2 = time.perf_counter()
-        if self.mode == "fused":
-            x = disc.scaler.transform_inplace(x)
-        else:
-            x = disc.scaler.transform(x)
         # The shared helper keeps serving margins computed exactly like
         # the calibration-time reference margin drift scoring compares
         # against (and its argmax matches offline ``predict``).

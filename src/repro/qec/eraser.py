@@ -11,6 +11,7 @@ exactly as the paper's Table I / Table VI report.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,12 +137,10 @@ class LevelStreamSpeculator:
             raise ConfigurationError("n_qubits must be >= 1")
         self.config = config or EraserConfig(multi_level=True)
         self.n_qubits = n_qubits
-        # Circular evidence window with running per-qubit sums: the sink
-        # consumer path is latency-instrumented, so the per-shot update
-        # must not reallocate the window.
-        self._history = np.zeros((self.config.window, n_qubits), dtype=np.int64)
-        self._sums = np.zeros(n_qubits, dtype=np.int64)
-        self._pos = 0
+        # Per qubit, the stream indices of |2> readouts since its last
+        # speculation. Only a hit can raise a qubit's windowed evidence
+        # count, so update() walks hits alone, never every shot.
+        self._pending = [deque() for _ in range(n_qubits)]
         self.shots_seen = 0
         self.flags_per_qubit = np.zeros(n_qubits, dtype=np.int64)
         self.leaked_per_qubit = np.zeros(n_qubits, dtype=np.int64)
@@ -170,20 +169,22 @@ class LevelStreamSpeculator:
             raise ConfigurationError(
                 f"levels must be (n_shots, {self.n_qubits}), got {levels.shape}"
             )
+        hits = levels == 2
+        self.leaked_per_qubit += hits.sum(axis=0)
         flags = np.zeros(levels.shape, dtype=bool)
         window = self.config.window
-        for i, row in enumerate(levels):
-            evidence = (row == 2).astype(np.int64)
-            self.leaked_per_qubit += evidence
-            self._sums += evidence - self._history[self._pos]
-            self._history[self._pos] = evidence
-            self._pos = (self._pos + 1) % window
-            fired = self._sums >= self.config.direct_evidence_cycles
-            flags[i] = fired
-            if fired.any():
+        needed = self.config.direct_evidence_cycles
+        start = self.shots_seen
+        for shot, qubit in zip(*(idx.tolist() for idx in np.nonzero(hits))):
+            now = start + shot
+            pending = self._pending[qubit]
+            while pending and now - pending[0] >= window:
+                pending.popleft()
+            pending.append(now)
+            if len(pending) >= needed:
+                flags[shot, qubit] = True
                 # The requested LRC resets the evidence, as in run_eraser.
-                self._history[:, fired] = 0
-                self._sums[fired] = 0
+                pending.clear()
         self.shots_seen += levels.shape[0]
         self.flags_per_qubit += flags.sum(axis=0)
         return flags

@@ -254,6 +254,67 @@ class TestResolveIndices:
             )
 
 
+def _oracle_levels_and_margin(disc, corpus, indices):
+    """Per-head MLPClassifier levels and the per-head np.sort top-2 margin."""
+    x = disc.scaler.transform(disc.extractor.transform(corpus, indices))
+    levels, margin_total = [], 0.0
+    for q, model in enumerate(disc.models):
+        head_x = disc._head_features(x, q)
+        levels.append(model.predict(head_x))
+        top2 = np.sort(model.predict_proba(head_x), axis=1)[:, -2:]
+        margin_total += float(np.sum(top2[:, 1] - top2[:, 0]))
+    levels = np.stack(levels, axis=1)
+    return levels, margin_total / levels.size
+
+
+class TestStackedHeads:
+    """The serving pass (all heads stacked, scaler folded) against the
+    per-head networks it replaces."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["neighbors", "own"])
+    def disc(self, request, tiny_corpus, split):
+        train, _ = split
+        return MLRDiscriminator(
+            neighbor_features=request.param, epochs=30, seed=4
+        ).fit(tiny_corpus, train)
+
+    def _assert_matches_oracle(self, disc, corpus, indices):
+        raw = disc.extractor.transform(corpus, indices)
+        levels, margin = disc.head_levels_and_margin(raw)
+        oracle_levels, oracle_margin = _oracle_levels_and_margin(
+            disc, corpus, indices
+        )
+        assert levels.dtype == np.int64
+        assert np.array_equal(levels, oracle_levels)
+        assert np.array_equal(levels, disc.predict_qubit_levels(corpus, indices))
+        assert margin == pytest.approx(oracle_margin, abs=1e-12)
+
+    def test_matches_per_head_networks(self, disc, tiny_corpus):
+        self._assert_matches_oracle(
+            disc, tiny_corpus, np.arange(tiny_corpus.n_traces)
+        )
+
+    def test_matches_after_artifact_roundtrip(self, disc, tiny_corpus, tmp_path):
+        path = tmp_path / "mlr.npz"
+        disc.save_artifacts(path)
+        loaded = Discriminator.load_artifacts(path)
+        self._assert_matches_oracle(
+            loaded, tiny_corpus, np.arange(tiny_corpus.n_traces)
+        )
+
+    def test_matches_with_recalibrated_scaler(self, disc, tiny_corpus, split):
+        train, _ = split
+        short = tiny_corpus.truncated(tiny_corpus.trace_len // 2)
+        recalibrated = disc.with_recalibrated_scaler(short, train)
+        self._assert_matches_oracle(
+            recalibrated, short, np.arange(short.n_traces)
+        )
+        # The original keeps the stack folded with its own scaler.
+        self._assert_matches_oracle(
+            disc, tiny_corpus, np.arange(tiny_corpus.n_traces)
+        )
+
+
 class TestArtifacts:
     def test_mlr_roundtrip_preserves_predictions(
         self, tiny_corpus, split, fitted_mlr, tmp_path

@@ -10,6 +10,7 @@ from repro.qec import (
     EraserConfig,
     LeakageParams,
     LeakageSimulator,
+    LevelStreamSpeculator,
     LRCModel,
     RotatedSurfaceCode,
     SurfaceCodeTiming,
@@ -184,6 +185,68 @@ class TestEraser:
             EraserConfig(window=0)
         with pytest.raises(ConfigurationError):
             run_eraser(RotatedSurfaceCode(3), cycles=0)
+
+
+def _per_shot_reference(levels, window, needed):
+    """The original ring-buffer update: one step per shot over the stream."""
+    n_qubits = levels.shape[1]
+    history = np.zeros((window, n_qubits), dtype=np.int64)
+    sums = np.zeros(n_qubits, dtype=np.int64)
+    flags = np.zeros(levels.shape, dtype=bool)
+    for i, row in enumerate(levels):
+        evidence = (row == 2).astype(np.int64)
+        sums += evidence - history[i % window]
+        history[i % window] = evidence
+        fired = sums >= needed
+        flags[i] = fired
+        history[:, fired] = 0
+        sums[fired] = 0
+    return flags
+
+
+class TestLevelStreamSpeculator:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_shot_reference_for_any_batching(self, data):
+        n_qubits = data.draw(st.integers(1, 4))
+        n_shots = data.draw(st.integers(0, 60))
+        levels = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(0, 2),
+                    min_size=n_shots * n_qubits,
+                    max_size=n_shots * n_qubits,
+                )
+            ),
+            dtype=np.int64,
+        ).reshape(n_shots, n_qubits)
+        window = data.draw(st.integers(1, 6))
+        needed = data.draw(st.integers(1, 6))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_shots), max_size=6)))
+
+        spec = LevelStreamSpeculator(
+            n_qubits,
+            EraserConfig(
+                window=window, multi_level=True, direct_evidence_cycles=needed
+            ),
+        )
+        flags = np.concatenate(
+            [spec.update(batch) for batch in np.split(levels, cuts)]
+        )
+
+        expected = _per_shot_reference(levels, window, needed)
+        leaked = (levels == 2).sum(axis=0)
+        assert np.array_equal(flags, expected)
+        assert np.array_equal(spec.flags_per_qubit, expected.sum(axis=0))
+        assert np.array_equal(spec.leaked_per_qubit, leaked)
+        shots = max(n_shots, 1)
+        assert spec.summary() == {
+            "shots_seen": n_shots,
+            "lrc_requests": int(expected.sum()),
+            "lrc_rate": int(expected.sum()) / shots,
+            "leaked_readout_rate": float(leaked.sum()) / (shots * n_qubits),
+            "flags_per_qubit": [int(f) for f in expected.sum(axis=0)],
+        }
 
 
 class TestCycleTime:
