@@ -38,12 +38,16 @@ def generate_corpus(
     seed:
         RNG seed or generator.
     chunk_states:
-        States simulated per batch, bounding peak memory (the per-qubit
-        baseband intermediates are ~5x the feedline size).
+        States simulated per batch, bounding peak memory: each batch's
+        complex128 feedline, noise and quantization temporaries are a few
+        times its complex64 rows, which are written straight into the
+        corpus's preallocated feedline.
     """
     chip = chip if chip is not None else default_five_qubit_chip()
     if chunk_states < 1:
         raise ConfigurationError("chunk_states must be >= 1")
+    if shots_per_state < 1:
+        raise ConfigurationError("shots_per_state must be >= 1")
     rng = check_random_state(seed)
     sim = ReadoutSimulator(chip, seed=rng)
     states = (
@@ -52,19 +56,23 @@ def generate_corpus(
         else np.asarray(states, dtype=np.int64)
     )
 
-    feedlines, labels = [], []
+    feedline = np.empty(
+        (states.size * shots_per_state, chip.trace_len), dtype=np.complex64
+    )
+    labels = []
     prepared, initial, final = [], [], []
     for start in range(0, states.size, chunk_states):
         chunk = states[start : start + chunk_states]
         result, chunk_labels = sim.simulate_joint_states(chunk, shots_per_state)
-        feedlines.append(result.feedline)
+        first = start * shots_per_state
+        feedline[first : first + result.n_shots] = result.feedline
         labels.append(chunk_labels)
         prepared.append(result.prepared_levels.astype(np.int8))
         initial.append(result.initial_levels.astype(np.int8))
         final.append(result.final_levels.astype(np.int8))
 
     return ReadoutCorpus(
-        feedline=np.concatenate(feedlines, axis=0),
+        feedline=feedline,
         labels=np.concatenate(labels),
         prepared_levels=np.concatenate(prepared, axis=0),
         initial_levels=np.concatenate(initial, axis=0),
@@ -101,11 +109,12 @@ def generate_calibration_shots(
     shifts = np.arange(chip.n_qubits - 1, -1, -1)
     digits = (state_cycle[:, None] >> shifts) & 1
 
-    feedlines, prepared, initial, final = [], [], [], []
+    feedline = np.empty((n_shots, chip.trace_len), dtype=np.complex64)
+    prepared, initial, final = [], [], []
     for start in range(0, n_shots, chunk_shots):
         chunk = digits[start : start + chunk_shots]
         result = sim.simulate(chunk)
-        feedlines.append(result.feedline)
+        feedline[start : start + result.n_shots] = result.feedline
         prepared.append(result.prepared_levels.astype(np.int8))
         initial.append(result.initial_levels.astype(np.int8))
         final.append(result.final_levels.astype(np.int8))
@@ -113,7 +122,7 @@ def generate_calibration_shots(
     prepared_all = np.concatenate(prepared, axis=0)
     labels = digits_to_state(prepared_all.astype(np.int64), chip.n_levels)
     return ReadoutCorpus(
-        feedline=np.concatenate(feedlines, axis=0),
+        feedline=feedline,
         labels=labels,
         prepared_levels=prepared_all,
         initial_levels=np.concatenate(initial, axis=0),

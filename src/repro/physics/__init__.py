@@ -9,8 +9,14 @@ first-principles synthetic equivalent. The chain is:
 2. :mod:`repro.physics.dispersive` + :mod:`repro.physics.trajectories` —
    the readout resonator's complex field, evolved exactly through each
    piecewise-constant level segment (cavity ring-up, state-dependent pull).
+   A qubit that holds its level all window traces a fixed per-(qubit,
+   level) template, computed once per window length; one stacked
+   recurrence per batch evolves only the (qubit, shot) rows that jump.
 3. :mod:`repro.physics.multiplex` — frequency multiplexing of all qubits
-   onto one feedline with inter-resonator crosstalk.
+   onto one feedline with inter-resonator crosstalk. Both are linear, so
+   the crosstalk folds into one tone weight per source qubit and sample:
+   a held qubit adds its precomputed weighted template, a jumped one its
+   weighted field.
 4. :mod:`repro.physics.noise` + :mod:`repro.physics.adc` — amplifier noise
    and ADC sampling/quantization.
 """

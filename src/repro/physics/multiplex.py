@@ -5,6 +5,13 @@ ADC Nyquist band; the feedline carries the sum. Inter-resonator crosstalk
 mixes the baseband fields *before* upconversion, so a neighbor's state
 bleeds into each qubit's tone — the error mechanism the paper's
 all-qubit-input neural network corrects.
+
+Mixing and upconversion are both linear, so they fold into one weight per
+source qubit and sample: with mixing ``M = I + C`` and tones
+``tone[q, t] = exp(2 pi i f_q t)``,
+
+    feedline[t] = sum_q tone[q, t] sum_p M[q, p] alpha_p[t]
+                = sum_p W[p, t] alpha_p[t],   W = M^T tone.
 """
 
 from __future__ import annotations
@@ -13,58 +20,21 @@ import math
 
 import numpy as np
 
-from repro.exceptions import ShapeError
 from repro.physics.device import ChipConfig
 
-__all__ = ["apply_crosstalk", "upconvert", "combine_feedline"]
+__all__ = ["multiplex"]
 
 TWO_PI = 2.0 * math.pi
 
 
-def apply_crosstalk(
-    basebands: np.ndarray, crosstalk: np.ndarray
-) -> np.ndarray:
-    """Mix baseband fields: ``mixed[q] = base[q] + sum_p C[q, p] base[p]``.
+def multiplex(chip: ChipConfig, times_ns: np.ndarray) -> np.ndarray:
+    """Per-source feedline weights ``W`` (n_qubits, len(times_ns)).
 
-    ``basebands`` has shape (n_qubits, n_shots, trace_len).
+    Row ``p`` is what one unit of qubit ``p``'s baseband field contributes
+    to the feedline at each sample: its own tone plus the crosstalk it
+    leaks into every other qubit's tone.
     """
-    basebands = np.asarray(basebands)
-    if basebands.ndim != 3:
-        raise ShapeError(f"basebands must be 3-D, got {basebands.shape}")
-    n_qubits = basebands.shape[0]
-    xt = np.asarray(crosstalk, dtype=complex)
-    if xt.shape != (n_qubits, n_qubits):
-        raise ShapeError(
-            f"crosstalk must be ({n_qubits}, {n_qubits}), got {xt.shape}"
-        )
-    mixing = np.eye(n_qubits, dtype=complex) + xt
-    return np.einsum("qp,pst->qst", mixing, basebands)
-
-
-def upconvert(
-    baseband: np.ndarray, if_frequency_ghz: float, times_ns: np.ndarray
-) -> np.ndarray:
-    """Shift a baseband field to its intermediate frequency."""
-    times_ns = np.asarray(times_ns)
-    tone = np.exp(1j * TWO_PI * if_frequency_ghz * times_ns)
-    return baseband * tone
-
-
-def combine_feedline(
-    chip: ChipConfig, basebands: np.ndarray, times_ns: np.ndarray
-) -> np.ndarray:
-    """Produce the multiplexed feedline signal for a batch of shots.
-
-    Applies crosstalk mixing, upconverts each qubit to its IF, and sums.
-    Returns a complex array (n_shots, trace_len).
-    """
-    basebands = np.asarray(basebands)
-    if basebands.shape[0] != chip.n_qubits:
-        raise ShapeError(
-            f"expected {chip.n_qubits} qubit basebands, got {basebands.shape[0]}"
-        )
-    mixed = apply_crosstalk(basebands, chip.crosstalk)
-    feedline = np.zeros(basebands.shape[1:], dtype=np.complex128)
-    for q, qubit in enumerate(chip.qubits):
-        feedline += upconvert(mixed[q], qubit.if_frequency_ghz, times_ns)
-    return feedline
+    ifs = np.array([q.if_frequency_ghz for q in chip.qubits])
+    tones = np.exp(1j * TWO_PI * ifs[:, None] * np.asarray(times_ns))
+    mixing = np.eye(chip.n_qubits, dtype=complex) + chip.crosstalk
+    return mixing.T @ tones

@@ -27,7 +27,10 @@ def complex_white_noise(
     if std == 0:
         return np.zeros(shape, dtype=np.complex128)
     scale = std / np.sqrt(2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.normal(0.0, scale, shape)
+    noise.imag = rng.normal(0.0, scale, shape)
+    return noise
 
 
 def apply_gain_drift(

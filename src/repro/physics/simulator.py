@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,11 +11,11 @@ from repro._util import check_random_state
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.physics.device import ChipConfig
 from repro.physics.jumps import TransitionRates, sample_level_matrix
-from repro.physics.multiplex import combine_feedline
+from repro.physics.multiplex import multiplex
 from repro.physics.noise import complex_white_noise
-from repro.physics.trajectories import baseband_response
+from repro.physics.trajectories import field_recurrence, qubit_field_tables
 
-__all__ = ["SimulationResult", "ReadoutSimulator"]
+__all__ = ["SimulationResult", "FeedlineTables", "ReadoutSimulator"]
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,34 @@ class SimulationResult:
         return self.feedline.shape[0]
 
 
+class FeedlineTables(NamedTuple):
+    """Jump-free feedline building blocks for one readout window length.
+
+    Attributes
+    ----------
+    fields:
+        Baseband field of each qubit pinned in each level, complex128
+        (n_qubits, n_levels, trace_len).
+    weights:
+        Per-source tone weights from :func:`~repro.physics.multiplex.multiplex`,
+        complex128 (n_qubits, trace_len).
+    contributions:
+        ``weights[:, None] * fields``: what each pinned qubit adds to the
+        feedline, complex128 (n_qubits, n_levels, trace_len).
+    """
+
+    fields: np.ndarray
+    weights: np.ndarray
+    contributions: np.ndarray
+
+
 class ReadoutSimulator:
     """Simulates multiplexed dispersive readout for one chip.
+
+    A shot whose qubits hold their levels through the window is a sum of
+    fixed per-(qubit, level) feedline templates, built once per window
+    length; only the (qubit, shot) rows that jump run the field
+    recurrence.
 
     Parameters
     ----------
@@ -64,6 +91,35 @@ class ReadoutSimulator:
         self.chip = chip
         self._rng = check_random_state(seed)
         self._rates = [TransitionRates.from_qubit(q) for q in chip.qubits]
+        # Field tables of every qubit, stacked so code q * n_levels + level
+        # indexes qubit q in that level.
+        per_qubit = [qubit_field_tables(q, chip.dt_ns) for q in chip.qubits]
+        self._steady = np.concatenate([steady for steady, _ in per_qubit])
+        self._decay = np.concatenate([decay for _, decay in per_qubit])
+        # The chip is frozen, so entries keyed on trace_len never go stale.
+        self._tables: dict[int, FeedlineTables] = {}
+
+    def feedline_tables(self, trace_len: int) -> FeedlineTables:
+        """The jump-free templates for ``trace_len`` samples (cached)."""
+        tables = self._tables.get(trace_len)
+        if tables is None:
+            chip = self.chip
+            codes = np.repeat(
+                np.arange(chip.n_qubits * chip.n_levels)[:, None],
+                trace_len,
+                axis=1,
+            )
+            fields = field_recurrence(codes, self._steady, self._decay)
+            fields = fields.reshape(chip.n_qubits, chip.n_levels, trace_len)
+            weights = multiplex(chip, chip.sample_times(trace_len))
+            tables = FeedlineTables(
+                fields, weights, weights[:, None, :] * fields
+            )
+            # Every later call reads these; a caller must not edit them.
+            for table in tables:
+                table.flags.writeable = False
+            self._tables[trace_len] = tables
+        return tables
 
     def _apply_preparation_errors(self, prepared: np.ndarray) -> np.ndarray:
         """Sample actual initial levels given intended levels."""
@@ -95,18 +151,38 @@ class ReadoutSimulator:
         include_preparation_errors:
             When False, qubits start exactly in their prepared level
             (useful for controlled unit tests).
+
+        Raises
+        ------
+        ShapeError
+            ``prepared_levels`` is not (n_shots, n_qubits) with at least
+            one shot.
+        ConfigurationError
+            A level outside ``[0, n_levels)``, or a ``trace_len`` that is
+            not an integer >= 2.
         """
+        chip = self.chip
         prepared = np.asarray(prepared_levels, dtype=np.int64)
-        if prepared.ndim != 2 or prepared.shape[1] != self.chip.n_qubits:
+        if (
+            prepared.ndim != 2
+            or prepared.shape[0] == 0
+            or prepared.shape[1] != chip.n_qubits
+        ):
             raise ShapeError(
-                f"prepared_levels must be (n_shots, {self.chip.n_qubits}), "
+                f"prepared_levels must be (n_shots >= 1, {chip.n_qubits}), "
                 f"got {prepared.shape}"
             )
-        if prepared.min() < 0 or prepared.max() >= self.chip.n_levels:
+        if prepared.min() < 0 or prepared.max() >= chip.n_levels:
             raise ConfigurationError(
-                f"levels must lie in [0, {self.chip.n_levels})"
+                f"levels must lie in [0, {chip.n_levels})"
             )
-        trace_len = self.chip.trace_len if trace_len is None else int(trace_len)
+        if trace_len is None:
+            trace_len = chip.trace_len
+        elif trace_len != int(trace_len):
+            raise ConfigurationError(
+                f"trace_len must be an integer, got {trace_len!r}"
+            )
+        trace_len = int(trace_len)
         if trace_len < 2:
             raise ConfigurationError(f"trace_len must be >= 2, got {trace_len}")
 
@@ -115,26 +191,47 @@ class ReadoutSimulator:
         else:
             initial = prepared.copy()
 
-        n_shots = prepared.shape[0]
-        dt = self.chip.dt_ns
-        times = self.chip.sample_times(trace_len)
-
-        basebands = np.empty(
-            (self.chip.n_qubits, n_shots, trace_len), dtype=np.complex128
-        )
+        tables = self.feedline_tables(trace_len)
+        n_shots, n_qubits = prepared.shape
+        n_levels = chip.n_levels
+        # held[s, q * n_levels + l] = 1 when qubit q of shot s sits in
+        # level l for the whole window.
+        held = np.zeros((n_shots, n_qubits * n_levels), dtype=np.complex128)
         final = np.empty_like(initial)
-        for q, qubit in enumerate(self.chip.qubits):
+        jumped_rows, jumped_codes = [], []
+        for q in range(n_qubits):
             levels = sample_level_matrix(
-                initial[:, q], self._rates[q], trace_len, dt, self._rng
+                initial[:, q], self._rates[q], trace_len, chip.dt_ns, self._rng
             )
             final[:, q] = levels[:, -1]
-            basebands[q] = baseband_response(qubit, levels, dt)
+            # A jump can land in sample 0, so a row is jump-free when it
+            # holds its sample-0 level, not its initial one.
+            jumped = (levels != levels[:, :1]).any(axis=1)
+            still = np.flatnonzero(~jumped)
+            held[still, q * n_levels + levels[still, 0]] = 1.0
+            rows = np.flatnonzero(jumped)
+            jumped_rows.append(rows)
+            jumped_codes.append(
+                np.add(levels[rows], q * n_levels, dtype=np.intp)
+            )
 
-        feedline = combine_feedline(self.chip, basebands, times)
-        feedline += complex_white_noise(
-            feedline.shape, self.chip.noise_std, self._rng
+        templates = tables.contributions.reshape(n_qubits * n_levels, -1)
+        feedline = held @ templates
+        # One recurrence over every jumped (qubit, shot) row.
+        fields = field_recurrence(
+            np.concatenate(jumped_codes), self._steady, self._decay
         )
-        feedline = self.chip.adc.digitize(feedline)
+        offset = 0
+        for q, rows in enumerate(jumped_rows):
+            feedline[rows] += (
+                tables.weights[q] * fields[offset : offset + rows.size]
+            )
+            offset += rows.size
+
+        feedline += complex_white_noise(
+            feedline.shape, chip.noise_std, self._rng
+        )
+        feedline = chip.adc.digitize(feedline)
         return SimulationResult(
             feedline=feedline.astype(np.complex64),
             prepared_levels=prepared,

@@ -1,5 +1,8 @@
 """Tests for the dispersive-readout physics simulator."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.physics import (
+    DEMO_DRIFT,
     ADCConfig,
     ChipConfig,
     ReadoutSimulator,
@@ -14,15 +18,141 @@ from repro.physics import (
     default_five_qubit_chip,
     sample_level_matrix,
 )
+from repro.physics.device import multi_feedline_chips
 from repro.physics.dispersive import (
     evolve_segment,
     segment_decay,
     steady_state_field,
 )
 from repro.physics.jumps import jump_statistics
-from repro.physics.multiplex import apply_crosstalk, combine_feedline, upconvert
+from repro.physics.multiplex import multiplex
 from repro.physics.noise import apply_gain_drift, complex_white_noise
 from repro.physics.trajectories import baseband_response, state_mean_response
+from tests.conftest import make_two_qubit_chip
+
+
+# -- Reference oracle: the direct per-qubit simulation ----------------------
+#
+# Every shot runs the full field recurrence for every qubit, the
+# (n_qubits, n_shots, trace_len) basebands are mixed by the crosstalk
+# matrix, and each mixed field is upconverted to its IF and summed. The
+# simulator must draw exactly what this computes.
+
+
+def reference_apply_crosstalk(basebands, crosstalk):
+    """``mixed[q] = base[q] + sum_p C[q, p] base[p]``."""
+    mixing = np.eye(basebands.shape[0], dtype=complex) + crosstalk
+    return np.einsum("qp,pst->qst", mixing, basebands)
+
+
+def reference_upconvert(baseband, if_frequency_ghz, times_ns):
+    """Shift a baseband field to its intermediate frequency."""
+    tone = np.exp(1j * 2.0 * math.pi * if_frequency_ghz * times_ns)
+    return baseband * tone
+
+
+def reference_combine_feedline(chip, basebands, times_ns):
+    """Crosstalk mixing, per-qubit upconversion, then the sum."""
+    mixed = reference_apply_crosstalk(basebands, chip.crosstalk)
+    feedline = np.zeros(basebands.shape[1:], dtype=np.complex128)
+    for q, qubit in enumerate(chip.qubits):
+        feedline += reference_upconvert(
+            mixed[q], qubit.if_frequency_ghz, times_ns
+        )
+    return feedline
+
+
+def reference_baseband_response(qubit, levels, dt, initial_field=0.0):
+    """The field recurrence, one sample at a time over shot columns."""
+    lo = np.exp(1j * qubit.lo_phase)
+    pulls = qubit.level_pulls()
+    steady = steady_state_field(qubit.drive, pulls, qubit.kappa) * lo
+    decay = segment_decay(pulls, qubit.kappa, dt)
+    n, trace_len = levels.shape
+    out = np.empty((n, trace_len), dtype=np.complex128)
+    alpha = np.full(n, complex(initial_field) * lo, dtype=np.complex128)
+    for t in range(trace_len):
+        out[:, t] = alpha
+        ss_t = steady[levels[:, t]]
+        alpha = ss_t + (alpha - ss_t) * decay[levels[:, t]]
+    return out
+
+
+def reference_simulate(
+    sim, prepared, trace_len=None, include_preparation_errors=True
+):
+    """Feedline, initial and final levels as the direct simulation draws
+    them from ``sim``'s generator."""
+    chip = sim.chip
+    prepared = np.asarray(prepared, dtype=np.int64)
+    trace_len = chip.trace_len if trace_len is None else trace_len
+    if include_preparation_errors:
+        initial = sim._apply_preparation_errors(prepared)
+    else:
+        initial = prepared.copy()
+    dt = chip.dt_ns
+    basebands = np.empty(
+        (chip.n_qubits, prepared.shape[0], trace_len), dtype=np.complex128
+    )
+    final = np.empty_like(initial)
+    for q, qubit in enumerate(chip.qubits):
+        levels = sample_level_matrix(
+            initial[:, q], sim._rates[q], trace_len, dt, sim._rng
+        )
+        final[:, q] = levels[:, -1]
+        basebands[q] = reference_baseband_response(qubit, levels, dt)
+    feedline = reference_combine_feedline(
+        chip, basebands, chip.sample_times(trace_len)
+    )
+    scale = chip.noise_std / np.sqrt(2.0)
+    if chip.noise_std > 0:
+        shape = feedline.shape
+        feedline += sim._rng.normal(0.0, scale, shape) + 1j * sim._rng.normal(
+            0.0, scale, shape
+        )
+    feedline = chip.adc.digitize(feedline).astype(np.complex64)
+    return feedline, initial, final
+
+
+def _with_rates(chip, **rates):
+    """``chip`` with every qubit's transition rates replaced."""
+    return dataclasses.replace(
+        chip,
+        qubits=tuple(dataclasses.replace(q, **rates) for q in chip.qubits),
+    )
+
+
+def jumpy_chip():
+    """Rates high enough that jumps often land in sample 0.
+
+    |0> leaves within ~20 ns, mostly to a |1> that then often holds for
+    the rest of the window; |2> decays within ~40 ns, so |1> -> |2> -> |1>
+    traces return to their starting level.
+    """
+    return _with_rates(
+        make_two_qubit_chip(),
+        t1_ns=2_000.0, t1_2_ns=40.0, direct_20_rate=5e-3,
+        excite_01_rate=5e-2, excite_12_rate=2e-3, excite_02_rate=5e-3,
+    )
+
+
+def frozen_chip():
+    """All transition rates exactly zero: no row ever jumps."""
+    return _with_rates(
+        make_two_qubit_chip(),
+        t1_ns=math.inf, t1_2_ns=math.inf, direct_20_rate=0.0,
+        excite_01_rate=0.0, excite_12_rate=0.0, excite_02_rate=0.0,
+    )
+
+
+ORACLE_CHIPS = {
+    "five-qubit": default_five_qubit_chip,
+    "two-qubit": make_two_qubit_chip,
+    "feedline-1": lambda: multi_feedline_chips(2)[1],
+    "drifted": lambda: DEMO_DRIFT.chip_at(default_five_qubit_chip(), 50_000),
+    "jumpy": jumpy_chip,
+    "frozen": frozen_chip,
+}
 
 
 class TestDeviceConfig:
@@ -173,6 +303,51 @@ class TestTrajectories:
                 five_qubit_chip.qubits[0], np.zeros(10, dtype=np.int8), 2.0
             )
 
+    @pytest.mark.parametrize("initial_field", [0.0, 0.4 - 1.3j])
+    def test_baseband_response_matches_reference_recurrence(
+        self, five_qubit_chip, rng, initial_field
+    ):
+        rates = TransitionRates.from_qubit(jumpy_chip().qubits[0])
+        levels = sample_level_matrix(
+            rng.integers(0, 3, size=64), rates, 300, 2.0, rng
+        )
+        assert (levels != levels[:, :1]).any(axis=1).sum() > 10
+        for qubit in five_qubit_chip.qubits:
+            np.testing.assert_array_equal(
+                baseband_response(qubit, levels, 2.0, initial_field),
+                reference_baseband_response(qubit, levels, 2.0, initial_field),
+            )
+
+
+class TestFeedlineTemplates:
+    @pytest.mark.parametrize("chip_name", ["five-qubit", "two-qubit", "drifted"])
+    @pytest.mark.parametrize("trace_len", [2, 100, None])
+    def test_templates_are_state_mean_responses(self, chip_name, trace_len):
+        chip = ORACLE_CHIPS[chip_name]()
+        trace_len = chip.trace_len if trace_len is None else trace_len
+        tables = ReadoutSimulator(chip, seed=0).feedline_tables(trace_len)
+        assert tables.fields.shape == (chip.n_qubits, chip.n_levels, trace_len)
+        for q, qubit in enumerate(chip.qubits):
+            for level in range(chip.n_levels):
+                np.testing.assert_array_equal(
+                    tables.fields[q, level],
+                    state_mean_response(qubit, level, trace_len, chip.dt_ns),
+                )
+        np.testing.assert_array_equal(
+            tables.weights, multiplex(chip, chip.sample_times(trace_len))
+        )
+        np.testing.assert_array_equal(
+            tables.contributions, tables.weights[:, None] * tables.fields
+        )
+
+    def test_tables_are_cached_per_trace_len(self, two_qubit_chip):
+        sim = ReadoutSimulator(two_qubit_chip, seed=0)
+        tables = sim.feedline_tables(50)
+        assert sim.feedline_tables(50) is tables
+        assert sim.feedline_tables(60).fields.shape[-1] == 60
+        with pytest.raises(ValueError, match="read-only"):
+            tables.contributions[0, 0, 0] = 0.0
+
 
 class TestNoiseAndMultiplex:
     def test_white_noise_statistics(self, rng):
@@ -190,28 +365,70 @@ class TestNoiseAndMultiplex:
             apply_gain_drift(signal, 0.0, rng), signal
         )
 
-    def test_crosstalk_mixing_matches_matrix(self, rng):
-        base = rng.normal(size=(2, 3, 8)) + 1j * rng.normal(size=(2, 3, 8))
+    def test_crosstalk_mixing_matches_matrix(self, two_qubit_chip, rng):
         xt = np.array([[0.0, 0.1], [0.2j, 0.0]])
-        mixed = apply_crosstalk(base, xt)
+        chip = dataclasses.replace(two_qubit_chip, crosstalk=xt)
+        times = chip.sample_times(8)
+        base = rng.normal(size=(2, 3, 8)) + 1j * rng.normal(size=(2, 3, 8))
+        mixed = reference_apply_crosstalk(base, xt)
         np.testing.assert_allclose(mixed[0], base[0] + 0.1 * base[1])
         np.testing.assert_allclose(mixed[1], base[1] + 0.2j * base[0])
+        # Each source's weight is its own tone plus the tones it leaks
+        # into: C[0, 1] carries qubit 1 into tone 0, C[1, 0] qubit 0
+        # into tone 1.
+        tones = [
+            reference_upconvert(np.ones(8), q.if_frequency_ghz, times)
+            for q in chip.qubits
+        ]
+        weights = multiplex(chip, times)
+        np.testing.assert_allclose(weights[0], tones[0] + 0.2j * tones[1])
+        np.testing.assert_allclose(weights[1], tones[1] + 0.1 * tones[0])
+        np.testing.assert_allclose(
+            np.einsum("pt,pst->st", weights, base),
+            reference_combine_feedline(chip, base, times),
+            rtol=0, atol=1e-12,
+        )
 
-    def test_upconvert_then_demodulate_is_identity(self, rng):
+    def test_upconvert_then_demodulate_is_identity(self, two_qubit_chip, rng):
         from repro.dsp.demod import demodulate
 
+        qubit = dataclasses.replace(
+            two_qubit_chip.qubits[0], if_frequency_ghz=0.11
+        )
+        chip = ChipConfig(qubits=(qubit,))
         times = np.arange(64) * 2.0
         base = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
-        shifted = upconvert(base, 0.11, times)
-        recovered = demodulate(shifted, 0.11, times)
+        weights = multiplex(chip, times)
+        assert weights.shape == (1, 64)
+        # Without crosstalk the weight is the bare tone...
+        np.testing.assert_allclose(
+            base * weights[0], reference_upconvert(base, 0.11, times),
+            rtol=0, atol=1e-12,
+        )
+        # ...which demodulation undoes.
+        recovered = demodulate(base * weights[0], 0.11, times)
         np.testing.assert_allclose(recovered, base, atol=1e-12)
 
     def test_feedline_is_sum_of_tones(self, two_qubit_chip, rng):
         base = np.zeros((2, 1, 50), dtype=complex)
         base[0] = 1.0
         times = two_qubit_chip.sample_times(50)
-        feed = combine_feedline(two_qubit_chip, base, times)
+        weights = multiplex(two_qubit_chip, times)
+        assert weights.shape == (2, 50)
+        feed = np.einsum("pt,pst->st", weights, base)
         assert feed.shape == (1, 50)
+        np.testing.assert_allclose(
+            feed, reference_combine_feedline(two_qubit_chip, base, times),
+            rtol=0, atol=1e-12,
+        )
+        # Qubit 0 alone: its own tone plus what it leaks into tone 1.
+        a, b = two_qubit_chip.qubits
+        xt = two_qubit_chip.crosstalk
+        np.testing.assert_allclose(
+            feed[0],
+            reference_upconvert(1.0, a.if_frequency_ghz, times)
+            + xt[1, 0] * reference_upconvert(1.0, b.if_frequency_ghz, times),
+        )
 
 
 class TestSimulator:
@@ -258,3 +475,95 @@ class TestSimulator:
         sim = ReadoutSimulator(chip, seed=0)
         result = sim.simulate(np.array([[0, 0]]), trace_len=trace_len)
         assert result.feedline.shape == (1, trace_len)
+
+    def test_empty_batch_raises_shape_error(self, two_qubit_chip):
+        sim = ReadoutSimulator(two_qubit_chip, seed=0)
+        with pytest.raises(ShapeError, match="n_shots >= 1"):
+            sim.simulate(np.empty((0, two_qubit_chip.n_qubits)))
+
+    def test_non_integral_trace_len_rejected(self, two_qubit_chip):
+        sim = ReadoutSimulator(two_qubit_chip, seed=0)
+        with pytest.raises(ConfigurationError, match="integer"):
+            sim.simulate(np.array([[0, 0]]), trace_len=2.7)
+        result = sim.simulate(np.array([[0, 0]]), trace_len=np.int64(40))
+        assert result.feedline.shape == (1, 40)
+
+
+def _assert_matches_reference(chip, seed, n_shots, calls):
+    """Run ``calls`` (simulate keyword sets) on a simulator and on the
+    reference oracle with the same seed; every output and the generator
+    state after every call must be identical."""
+    sim = ReadoutSimulator(chip, seed=np.random.default_rng(seed))
+    ref = ReadoutSimulator(chip, seed=np.random.default_rng(seed))
+    prepared_rng = np.random.default_rng(seed + 1)
+    for kwargs in calls:
+        prepared = prepared_rng.integers(
+            0, chip.n_levels, size=(n_shots, chip.n_qubits)
+        )
+        result = sim.simulate(prepared, **kwargs)
+        feedline, initial, final = reference_simulate(ref, prepared, **kwargs)
+        np.testing.assert_array_equal(result.feedline, feedline)
+        np.testing.assert_array_equal(result.initial_levels, initial)
+        np.testing.assert_array_equal(result.final_levels, final)
+        assert sim._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+ORACLE_CALLS = [
+    {},
+    {"trace_len": 2},
+    {"trace_len": 100},
+    {"trace_len": 700},
+    {"include_preparation_errors": False},
+]
+
+
+class TestSimulatorOracle:
+    """The template simulator draws exactly what the direct per-qubit
+    simulation draws."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        chip_name=st.sampled_from(sorted(ORACLE_CHIPS)),
+        call=st.sampled_from(ORACLE_CALLS),
+        seed=st.integers(min_value=0, max_value=2**32 - 2),
+        n_shots=st.integers(min_value=1, max_value=300),
+    )
+    def test_matches_reference_simulation(self, chip_name, call, seed, n_shots):
+        # The second call reuses the cached tables (or switches length).
+        _assert_matches_reference(
+            ORACLE_CHIPS[chip_name](), seed, n_shots, [call, {}]
+        )
+
+    @pytest.mark.parametrize("chip_name", sorted(ORACLE_CHIPS))
+    def test_every_call_option_matches_reference(self, chip_name):
+        _assert_matches_reference(
+            ORACLE_CHIPS[chip_name](), seed=11, n_shots=120, calls=ORACLE_CALLS
+        )
+
+    def test_jumps_in_sample_zero_match_reference(self):
+        chip = jumpy_chip()
+        # Precondition: this chip's jumps do land in sample 0, so a row
+        # can hold a level other than its initial one for the whole
+        # window...
+        rng = np.random.default_rng(5)
+        initial = rng.integers(0, 3, size=300)
+        levels = sample_level_matrix(
+            initial, TransitionRates.from_qubit(chip.qubits[0]),
+            chip.trace_len, chip.dt_ns, rng,
+        )
+        held = (levels == levels[:, :1]).all(axis=1)
+        moved_at_zero = levels[:, 0] != initial
+        assert (held & moved_at_zero).sum() >= 3
+        # ...and some traces jump away and back to their sample-0 level.
+        assert (~held & (levels[:, -1] == levels[:, 0])).sum() >= 3
+        _assert_matches_reference(chip, seed=5, n_shots=300, calls=[{}, {}])
+
+    def test_frozen_chip_has_no_jumps(self):
+        chip = frozen_chip()
+        result = ReadoutSimulator(chip, seed=3).simulate(
+            np.tile([[0, 1], [2, 1]], (50, 1))
+        )
+        np.testing.assert_array_equal(
+            result.final_levels, result.initial_levels
+        )
+        _assert_matches_reference(chip, seed=3, n_shots=100, calls=[{}])
