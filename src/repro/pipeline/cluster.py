@@ -37,11 +37,13 @@ in declared order.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -243,6 +245,25 @@ def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
     return task.name, report
 
 
+@dataclass
+class _ReplayPublication:
+    """Replay corpora published in shared memory for feedline shards.
+
+    ``blocks`` holds one segment per distinct corpus; ``descriptors``
+    maps every feedline to the segment it replays.
+    """
+
+    blocks: list[SharedTraceBlock] = field(default_factory=list)
+    descriptors: dict[str, SharedTraceDescriptor] = field(
+        default_factory=dict
+    )
+
+    def release(self) -> None:
+        """Unlink every segment (idempotent, like the blocks)."""
+        for block in self.blocks:
+            block.unlink()
+
+
 class ShardExecutor(ABC):
     """Executes feedline tasks; backends differ in where shards run."""
 
@@ -273,12 +294,71 @@ class SerialShardExecutor(ShardExecutor):
         return [fn(task) for task in tasks]
 
 
+#: (set, get) thread-count symbols of an OpenBLAS build: the numpy
+#: wheel's bundled ``scipy_openblas64_`` first, then a system library.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)`` thread-count functions of numpy's OpenBLAS, or None.
+
+    numpy loads its BLAS privately, so the symbols are looked up in the
+    shared objects this process has mapped (Linux ``/proc/self/maps``);
+    ``ctypes.CDLL`` on an already-loaded path returns that same library.
+    None when no mapped BLAS exports either symbol pair (another BLAS,
+    or a platform without ``/proc``): the caller then leaves BLAS alone.
+    """
+    import ctypes
+
+    import numpy  # noqa: F401 - maps numpy's BLAS into this process
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps if "blas" in line.lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Process-worker initializer: cap this worker's OpenBLAS pool.
+
+    A forked worker inherits the parent's BLAS thread count, so N shards
+    would each spin that many BLAS threads on the same CPUs; every
+    worker instead gets its share of them. No-op without OpenBLAS.
+    """
+    control = _openblas_threads()
+    if control is not None:
+        control[0](threads)
+
+
 def _warmup(index: int) -> int:
     """Pool warm-up task (module-level: process-pool picklable).
 
-    The tiny matmul initializes per-process BLAS state in freshly
-    spawned workers; the short sleep keeps every warm-up task in flight
-    at once, so no single worker can drain the queue and the pool really
+    The tiny matmul runs the first BLAS call in freshly spawned workers
+    (process workers, already capped to their BLAS share by the pool
+    initializer); the short sleep keeps every warm-up task in flight at
+    once, so no single worker can drain the queue and the pool really
     does spawn all its workers up front (``concurrent.futures`` pools
     otherwise reuse an idle worker instead of growing).
     """
@@ -294,18 +374,20 @@ def _warmup(index: int) -> int:
 class _PoolShardExecutor(ShardExecutor):
     """Shared plumbing for the ``concurrent.futures`` backends."""
 
-    _pool_cls: type
-
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self._pool = self._pool_cls(max_workers=self.workers)
+        self._pool = self._make_pool()
         # ``concurrent.futures`` pools spawn workers lazily on first
         # submit; serving pools are long-lived, so pre-spawn here and
         # keep cold-start (fork/thread creation) out of the measured
         # dispatch path.
         list(self._pool.map(_warmup, range(self.workers)))
+
+    @abstractmethod
+    def _make_pool(self):
+        """The backend's ``concurrent.futures`` executor."""
 
     def map(self, fn, tasks):
         return list(self._pool.map(fn, tasks))
@@ -318,7 +400,9 @@ class ThreadShardExecutor(_PoolShardExecutor):
     """One thread per shard; BLAS-heavy stages overlap despite the GIL."""
 
     name = "thread"
-    _pool_cls = ThreadPoolExecutor
+
+    def _make_pool(self):
+        return ThreadPoolExecutor(max_workers=self.workers)
 
 
 class ProcessShardExecutor(_PoolShardExecutor):
@@ -326,11 +410,24 @@ class ProcessShardExecutor(_PoolShardExecutor):
 
     Workers rebuild discriminators from calibration-registry artifacts
     (see :func:`_run_feedline`) — fitted models are never pickled across
-    the process boundary.
+    the process boundary. Each worker runs OpenBLAS on its share of the
+    CPUs, ``max(1, available_cpus() // workers)`` threads, so the shards
+    together never run more BLAS threads than there are CPUs.
     """
 
     name = "process"
-    _pool_cls = ProcessPoolExecutor
+
+    def _make_pool(self):
+        # Start the parent's resource tracker before the fork, so every
+        # worker inherits it. A worker forked without one starts a
+        # private tracker on its first shm attach, and at exit that
+        # tracker warns about, and unlinks, segments it never owned.
+        resource_tracker.ensure_running()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_limit_blas_threads,
+            initargs=(max(1, available_cpus() // self.workers),),
+        )
 
 
 _EXECUTORS: dict[str, type[ShardExecutor]] = {
@@ -769,6 +866,8 @@ class MultiFeedlineRunner:
         )
         self.design = design
         self._shard_executor: ShardExecutor | None = None
+        # Replay corpora published for the session (publish_replay).
+        self._publication: _ReplayPublication | None = None
         # Calibration-artifact version served per feedline name. Hot
         # recalibration bumps these atomically (plain dict assignment
         # under the GIL) so the next run() serves the new artifacts
@@ -936,11 +1035,19 @@ class MultiFeedlineRunner:
         return sum(0 if cached else 1 for _, cached in results)
 
     def close(self) -> None:
-        """Shut down the shard pool. Idempotent; :meth:`run` revives it.
+        """Shut down the shard pool and unlink published replay corpora.
 
-        An injected ``pool`` is never closed here — its owner (the fleet
-        holding the lease) controls the shared substrate's lifetime.
+        Idempotent; :meth:`run` revives the pool, and :meth:`run_replay`
+        without corpora needs a new :meth:`publish_replay`. An injected
+        ``pool`` is never closed here — its owner (the fleet holding the
+        lease) controls the shared substrate's lifetime.
         """
+        self._shutdown_pool()
+        publication, self._publication = self._publication, None
+        if publication is not None:
+            publication.release()
+
+    def _shutdown_pool(self) -> None:
         if self._shard_executor is not None:
             self._shard_executor.close()
             self._shard_executor = None
@@ -957,7 +1064,13 @@ class MultiFeedlineRunner:
         seed: int | None,
         drift_model: DriftModel | None = None,
         drift_shot_offset: int = 0,
+        replay: dict[str, SharedTraceDescriptor] | None = None,
     ) -> list[_FeedlineTask]:
+        """One work order per feedline, in declared order.
+
+        With ``replay`` (feedline name -> published segment), each task
+        replays its segment and ``n_shots`` is the segment's shot count.
+        """
         base_seed = self.profile.seed + 1 if seed is None else int(seed)
         return [
             _FeedlineTask(
@@ -965,7 +1078,11 @@ class MultiFeedlineRunner:
                 chip=spec.chip,
                 device=spec.registry_device,
                 profile=self.profile,
-                n_shots=int(n_shots),
+                n_shots=(
+                    int(n_shots)
+                    if replay is None
+                    else replay[spec.name].n_shots
+                ),
                 # Distinct deterministic traffic per feedline: executors
                 # and partitionings all see identical streams.
                 seed=base_seed + index,
@@ -977,6 +1094,7 @@ class MultiFeedlineRunner:
                 drift_model=drift_model,
                 drift_shot_offset=drift_shot_offset,
                 calibration_shot_offset=self._calibrated_at.get(spec.name, 0),
+                replay=None if replay is None else replay[spec.name],
             )
             for index, spec in enumerate(self.feedlines)
         ]
@@ -1004,26 +1122,31 @@ class MultiFeedlineRunner:
         """
         if n_shots < 1:
             raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-        tasks = self._tasks(
-            n_shots, seed, drift_model=drift_model,
-            drift_shot_offset=drift_shot_offset,
+        return self._dispatch(
+            self._tasks(
+                n_shots, seed, drift_model=drift_model,
+                drift_shot_offset=drift_shot_offset,
+            )
         )
+
+    def _dispatch(self, tasks: list[_FeedlineTask]) -> ClusterReport:
+        """Run feedline tasks on the shard pool; the aggregate report."""
         shard_executor = self._get_executor()
+        # Heterogeneous feedlines dispatch heaviest-first (greedy
+        # longest-first); per-feedline seeds are fixed in the tasks, so
+        # the dispatch order cannot change any result.
         ordered = _placement_order(tasks)
         try:
             # The timed window covers dispatch and shard execution only:
             # pool spawn (pre-warmed at construction) and teardown are
             # serving-lifetime costs, not per-stream throughput.
-            # Heterogeneous feedlines dispatch heaviest-first (greedy
-            # longest-first); per-feedline seeds were fixed above, so the
-            # dispatch order cannot change any result.
             wall_start = time.perf_counter()
             results = shard_executor.map(_run_feedline, ordered)
             wall = time.perf_counter() - wall_start
         except BaseException:
             # A failed dispatch may leave the pool wedged; rebuild it on
             # the next run rather than reusing a broken executor.
-            self.close()
+            self._shutdown_pool()
             raise
 
         # Reports keep declared feedline order regardless of placement.
@@ -1042,37 +1165,8 @@ class MultiFeedlineRunner:
             placement={task.name: slot for slot, task in enumerate(ordered)},
         )
 
-    def run_replay(
-        self,
-        corpora: (
-            dict[str, ReadoutCorpus]
-            | Sequence[ReadoutCorpus]
-            | ReadoutCorpus
-        ),
-    ) -> ClusterReport:
-        """Replay pre-built corpora over shared memory; aggregate report.
-
-        Each feedline's traces are published once as a shared-memory
-        :class:`~repro.pipeline.shm.SharedTraceBlock`; shard workers —
-        in-process or forked — attach by descriptor and stream zero-copy
-        views, so dispatch ships kilobytes of coordinates instead of
-        pickling the trace arrays. This is also the honest serving
-        benchmark: the traffic already exists, so the measured window
-        contains discrimination only, not simulator time.
-
-        Parameters
-        ----------
-        corpora:
-            One :class:`~repro.data.dataset.ReadoutCorpus` per feedline,
-            as a name-keyed dict or a sequence in declared feedline
-            order — or a *single* corpus (a ``ReadoutCorpus`` or a
-            loaded :class:`~repro.backends.corpus.RecordedCorpus`),
-            broadcast to every feedline. Every corpus must match its
-            feedline's chip geometry and carry labels (the shared block
-            ships traces and ground truth together).
-
-        Segments are unlinked before returning, success or not.
-        """
+    def _replay_corpora(self, corpora) -> dict[str, ReadoutCorpus]:
+        """Validated name-keyed corpora from :meth:`run_replay`'s forms."""
         if hasattr(corpora, "feedline") and hasattr(corpora, "n_traces"):
             # A single corpus object: every feedline replays the same
             # recorded traffic (the record -> replay serving path).
@@ -1094,74 +1188,116 @@ class MultiFeedlineRunner:
             raise ConfigurationError(
                 f"run_replay is missing corpora for feedlines: {missing}"
             )
-        blocks: dict[str, SharedTraceBlock] = {}
-        try:
-            for spec in self.feedlines:
-                corpus = corpora[spec.name]
-                if corpus.chip.n_qubits != spec.chip.n_qubits:
-                    raise ConfigurationError(
-                        f"corpus for feedline {spec.name!r} has "
-                        f"{corpus.chip.n_qubits} qubits, spec chip has "
-                        f"{spec.chip.n_qubits}"
-                    )
-                if getattr(corpus, "prepared_levels", None) is None:
-                    raise ConfigurationError(
-                        f"corpus for feedline {spec.name!r} carries no "
-                        "prepared-level labels; shared-memory replay "
-                        "needs a labeled corpus"
-                    )
-                # The label names the owning feedline in sanitizer
-                # lifetime-audit witnesses (REPRO_SANITIZE runs).
-                blocks[spec.name] = SharedTraceBlock.from_corpus(
-                    corpus, label=spec.name
+        for spec in self.feedlines:
+            corpus = corpora[spec.name]
+            if corpus.chip.n_qubits != spec.chip.n_qubits:
+                raise ConfigurationError(
+                    f"corpus for feedline {spec.name!r} has "
+                    f"{corpus.chip.n_qubits} qubits, spec chip has "
+                    f"{spec.chip.n_qubits}"
                 )
-            tasks = [
-                _FeedlineTask(
-                    name=spec.name,
-                    chip=spec.chip,
-                    device=spec.registry_device,
-                    profile=self.profile,
-                    n_shots=corpora[spec.name].n_traces,
-                    seed=self.profile.seed + 1 + index,
-                    chunk_size=self.chunk_size,
-                    config=self.config,
-                    registry_dir=self.registry_dir,
-                    design=self.design,
-                    version=self._versions.get(spec.name, 0),
-                    calibration_shot_offset=self._calibrated_at.get(
-                        spec.name, 0
-                    ),
-                    replay=blocks[spec.name].descriptor,
+            if getattr(corpus, "prepared_levels", None) is None:
+                raise ConfigurationError(
+                    f"corpus for feedline {spec.name!r} carries no "
+                    "prepared-level labels; shared-memory replay "
+                    "needs a labeled corpus"
                 )
-                for index, spec in enumerate(self.feedlines)
-            ]
-            shard_executor = self._get_executor()
-            ordered = _placement_order(tasks)
-            try:
-                wall_start = time.perf_counter()
-                results = shard_executor.map(_run_feedline, ordered)
-                wall = time.perf_counter() - wall_start
-            except BaseException:
-                # Same policy as run(): a failed dispatch may leave the
-                # pool wedged; rebuild it next time.
-                self.close()
-                raise
-        finally:
-            for block in blocks.values():
-                block.unlink()
+        return corpora
 
-        by_name = dict(results)
-        reports = {task.name: by_name[task.name] for task in tasks}
-        total_shots = sum(r.n_shots for r in reports.values())
-        return ClusterReport(
-            executor=self.executor,
-            workers=self.workers,
-            n_shots=total_shots,
-            wall_seconds=wall,
-            shots_per_second=total_shots / wall if wall > 0 else 0.0,
-            feedline_reports=reports,
-            placement={task.name: slot for slot, task in enumerate(ordered)},
-        )
+    def _publish(self, corpora) -> _ReplayPublication:
+        """Copy each *distinct* corpus into one shared-memory segment.
+
+        A corpus broadcast to every feedline is one segment, whose
+        label names the feedlines reading it (sanitizer witnesses).
+        """
+        corpora = self._replay_corpora(corpora)
+        readers: dict[int, list[str]] = {}
+        for spec in self.feedlines:
+            readers.setdefault(id(corpora[spec.name]), []).append(spec.name)
+        publication = _ReplayPublication()
+        try:
+            for names in readers.values():
+                block = SharedTraceBlock.from_corpus(
+                    corpora[names[0]], label=",".join(names)
+                )
+                publication.blocks.append(block)
+                for name in names:
+                    publication.descriptors[name] = block.descriptor
+        except BaseException:
+            publication.release()
+            raise
+        return publication
+
+    def publish_replay(
+        self,
+        corpora: (
+            dict[str, ReadoutCorpus]
+            | Sequence[ReadoutCorpus]
+            | ReadoutCorpus
+        ),
+    ) -> None:
+        """Publish replay corpora for every later :meth:`run_replay`.
+
+        Long-lived serving sessions publish once at warm-up, so each
+        run ships descriptors only. ``corpora`` takes the forms
+        :meth:`run_replay` does. Segments live until :meth:`close` (or
+        the next publish, which replaces them).
+        """
+        publication = self._publish(corpora)
+        previous, self._publication = self._publication, publication
+        if previous is not None:
+            previous.release()
+
+    def run_replay(
+        self,
+        corpora: (
+            dict[str, ReadoutCorpus]
+            | Sequence[ReadoutCorpus]
+            | ReadoutCorpus
+            | None
+        ) = None,
+    ) -> ClusterReport:
+        """Replay pre-built corpora over shared memory; aggregate report.
+
+        Each distinct corpus is published once as a shared-memory
+        :class:`~repro.pipeline.shm.SharedTraceBlock`; shard workers —
+        in-process or forked — attach by descriptor and stream zero-copy
+        views, so dispatch ships kilobytes of coordinates instead of
+        pickling the trace arrays. This is also the honest serving
+        benchmark: the traffic already exists, so the measured window
+        contains discrimination only, not simulator time.
+
+        Parameters
+        ----------
+        corpora:
+            One :class:`~repro.data.dataset.ReadoutCorpus` per feedline,
+            as a name-keyed dict or a sequence in declared feedline
+            order — or a *single* corpus (a ``ReadoutCorpus`` or a
+            loaded :class:`~repro.backends.corpus.RecordedCorpus`),
+            broadcast to every feedline. Every corpus must match its
+            feedline's chip geometry and carry labels (the shared block
+            ships traces and ground truth together). ``None`` replays
+            what :meth:`publish_replay` published.
+
+        Corpora passed here are published for this call only and
+        unlinked before returning, success or not.
+        """
+        if corpora is None:
+            if self._publication is None:
+                raise ConfigurationError(
+                    "run_replay() without corpora replays the published "
+                    "ones; call publish_replay() first"
+                )
+            return self._dispatch(
+                self._tasks(0, None, replay=self._publication.descriptors)
+            )
+        publication = self._publish(corpora)
+        try:
+            return self._dispatch(
+                self._tasks(0, None, replay=publication.descriptors)
+            )
+        finally:
+            publication.release()
 
 
 def run_multi_feedline_pipeline(

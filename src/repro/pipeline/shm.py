@@ -4,16 +4,20 @@ Dispatching a pre-built trace corpus to a worker process used to mean
 pickling the full ``(n_shots, trace_len)`` complex array into the task
 payload — megabytes serialized, copied through a pipe, and deserialized
 per feedline. This module moves the hand-off to POSIX shared memory:
-the parent publishes each feedline's arrays once as a
+the parent publishes each distinct corpus once as a
 :class:`SharedTraceBlock`, ships only the tiny picklable
 :class:`SharedTraceDescriptor` (segment name + dtypes + shapes), and
 workers attach by name and stream zero-copy chunk views straight out of
 the mapping via :class:`SharedMemoryTraceSource`.
 
 Lifecycle contract: the creating process owns the segment and must call
-:meth:`SharedTraceBlock.unlink` when every consumer is done (the runner
-does this in a ``finally``); attached readers only ever :meth:`close
-<SharedMemoryTraceSource.close>` their mapping.
+:meth:`SharedTraceBlock.unlink` when every consumer is done; attached
+readers only ever :meth:`close <SharedMemoryTraceSource.close>` their
+mapping. The cluster runner has two owners of that kind: a serving
+session publishes its replay corpus once at warm-up, every run ships
+descriptors, and the session's ``close`` unlinks; a one-shot
+``run_replay(corpora)`` publishes, dispatches and unlinks in a
+``finally`` before it returns.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
     On Python < 3.13 ``SharedMemory`` has no ``track=False``: every
     attach re-registers the segment with the resource tracker. That is
-    safe here — shard workers are forked, so they share the creator's
-    tracker process, and re-registering an already-tracked name is an
-    idempotent set-add that the creator's single ``unlink`` clears.
+    safe only while the attacher shares the creator's tracker process:
+    re-registering an already-tracked name is then an idempotent set-add
+    that the creator's single ``unlink`` clears. Forked shard workers
+    share it because the process executor starts the tracker before it
+    forks (a worker forked first would start a private tracker here,
+    which at exit warns about and unlinks the creator's segments).
     Explicitly *unregistering* after attach (the common workaround)
     would be wrong for the same reason: in the serial executor the
     attacher IS the creator, and stripping the registration makes the

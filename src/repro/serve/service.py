@@ -285,11 +285,12 @@ class ReadoutService:
 
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
-    serving topology, pre-fits or loads every discriminator, and
-    pre-spawns shard pools; :meth:`run` streams traffic against that
-    state; :meth:`close` releases pools and any session-private
-    registry. The service is reusable after ``close`` — the next ``run``
-    re-warms.
+    serving topology, pre-fits or loads every discriminator,
+    pre-spawns shard pools and publishes a multi-feedline replay corpus
+    to shared memory; :meth:`run` streams traffic against that state;
+    :meth:`close` releases pools, replay segments and any
+    session-private registry. The service is reusable after ``close``
+    — the next ``run`` re-warms.
     """
 
     def __init__(
@@ -336,7 +337,6 @@ class ReadoutService:
         self._config = None
         self._runner: "MultiFeedlineRunner | None" = None
         self._backend = None
-        self._replay_corpus = None
         self._tmp_registry: tempfile.TemporaryDirectory | None = None
         # Drift state (reset each warm cycle): the session shot clock
         # drift accumulates against, the served artifact version on the
@@ -428,11 +428,12 @@ class ReadoutService:
         """Resolve the spec and pre-warm all serving state. Idempotent.
 
         Fits (or loads) every per-feedline discriminator through the
-        calibration registry and pre-spawns the shard pools, so
-        subsequent :meth:`run` calls measure pure serving. When the spec
-        names no ``registry_dir``, the session owns a private temporary
-        registry, discarded on :meth:`close` — even then, repeated runs
-        within the session never refit.
+        calibration registry, pre-spawns the shard pools and publishes a
+        multi-feedline replay corpus once, so subsequent :meth:`run`
+        calls measure pure serving. When the spec names no
+        ``registry_dir``, the session owns a private temporary registry,
+        discarded on :meth:`close` — even then, repeated runs within the
+        session never refit.
         """
         if self._warmed:
             return self
@@ -568,16 +569,18 @@ class ReadoutService:
             runner.prewarm()
             cold_fits += runner.prefit()
             if spec.traffic.backend == "replay":
-                # Load and integrity-check the corpus once at warm-up;
-                # run() broadcasts it to every feedline over shared
-                # memory. Sibling feedline chips differ by design
-                # spread, so the check is geometric, not SHA-strict.
+                # Load, integrity-check and publish the corpus once at
+                # warm-up: one shared-memory segment, broadcast to every
+                # feedline, that each run() replays by descriptor and
+                # close() unlinks. Sibling feedline chips differ by
+                # design spread, so the check is geometric, not
+                # SHA-strict.
                 from repro.backends import load_corpus
 
                 corpus = load_corpus(spec.traffic.corpus_path)
                 for chip in chips:
                     corpus.require_geometry(chip)
-                self._replay_corpus = corpus
+                runner.publish_replay(corpus)
         return cold_fits
 
     def run(
@@ -623,8 +626,8 @@ class ReadoutService:
                 )
                 report = self._pipeline.run(source)
                 report.calibration_cached = cycle_cached
-            elif self._replay_corpus is not None:
-                report = self._runner.run_replay(self._replay_corpus)
+            elif spec.traffic.backend == "replay":
+                report = self._runner.run_replay()
                 if not cycle_cached:
                     for feedline_report in report.feedline_reports.values():
                         feedline_report.calibration_cached = False
@@ -784,7 +787,7 @@ class ReadoutService:
         self._version = next_version
 
     def close(self) -> None:
-        """Release shard pools and any session-private registry.
+        """Release shard pools, replay segments and any private registry.
 
         Idempotent; cumulative :attr:`stats` survive, and the next
         :meth:`run` re-warms.
@@ -796,7 +799,6 @@ class ReadoutService:
             # Closing a recording backend finalizes its corpus manifest.
             self._backend.close()
             self._backend = None
-        self._replay_corpus = None
         self._pipeline = None
         self._chip = None
         self._device = None
